@@ -14,7 +14,7 @@
 //! counterexample: the caller treats a rejection as "fall back to the
 //! conservative emission", not "the pass is wrong".
 
-use crate::term::{cond_flags, Atom, FlagSrc, Tag, TermId, Terms};
+use crate::term::{cond_flags, Atom, FlagSrc, FxBuild, Tag, TermId, Terms};
 use crate::{cfg, Finding, Rule, Severity, VerifyReport};
 use brew_core::capture::Terminator;
 use brew_core::{EquivCapture, KnownSnapshot, RetKind, RewriteResult, SpecRequest};
@@ -72,6 +72,23 @@ impl SideState {
             epoch: terms.atom(Atom::Frame),
             frame: BTreeMap::new(),
         }
+    }
+
+    fn frame_byte(&self, terms: &mut Terms, off: i64) -> TermId {
+        if let Some(&t) = self.frame.get(&off) {
+            return t;
+        }
+        let offc = terms.constant(off as u64);
+        terms.op(Tag::FrameFresh, &[self.epoch, offc])
+    }
+
+    /// The frame bytes `off..off + len` packed into one value.
+    fn frame_pack(&self, terms: &mut Terms, off: i64, len: u8) -> TermId {
+        let mut bytes = [TermId::default(); 8];
+        for (k, b) in bytes[..len as usize].iter_mut().enumerate() {
+            *b = self.frame_byte(terms, off + k as i64);
+        }
+        terms.pack(&bytes[..len as usize])
     }
 }
 
@@ -158,18 +175,9 @@ impl<'w> Walker<'w> {
         t
     }
 
-    fn frame_byte(&mut self, off: i64) -> TermId {
-        if let Some(&t) = self.st.frame.get(&off) {
-            return t;
-        }
-        let offc = self.terms.constant(off as u64);
-        self.terms.op(Tag::FrameFresh, vec![self.st.epoch, offc])
-    }
-
     fn load_t(&mut self, addr: TermId, len: u8) -> TermId {
         if let Some(off) = self.terms.offset_of(addr, self.rsp0) {
-            let bytes: Vec<TermId> = (0..len as i64).map(|k| self.frame_byte(off + k)).collect();
-            return self.terms.pack(bytes);
+            return self.st.frame_pack(self.terms, off, len);
         }
         if let Some(a) = self.terms.as_const(addr) {
             let inside =
@@ -182,7 +190,7 @@ impl<'w> Walker<'w> {
                 }
             }
         }
-        self.terms.op(Tag::Select(len), vec![self.st.mem, addr])
+        self.terms.op(Tag::Select(len), &[self.st.mem, addr])
     }
 
     fn store_t(&mut self, addr: TermId, val: TermId, len: u8) {
@@ -203,9 +211,7 @@ impl<'w> Walker<'w> {
             addr,
             val: canon,
         });
-        self.st.mem = self
-            .terms
-            .op(Tag::Store(len), vec![self.st.mem, addr, canon]);
+        self.st.mem = self.terms.op(Tag::Store(len), &[self.st.mem, addr, canon]);
     }
 
     fn load(&mut self, m: &MemRef, len: u8) -> TermId {
@@ -237,7 +243,7 @@ impl<'w> Walker<'w> {
             Width::W32 => self.terms.low32(val),
             Width::W8 => {
                 let old = self.gpr(r);
-                self.terms.op(Tag::InsertByte0, vec![old, val])
+                self.terms.op(Tag::InsertByte0, &[old, val])
             }
         };
         self.write_gpr(r, t);
@@ -270,13 +276,13 @@ impl<'w> Walker<'w> {
                 let s = self.terms.sub64(a, b);
                 self.terms.low32(s)
             }
-            _ => self.terms.op(Tag::Alu(op, w), vec![a, b]),
+            _ => self.terms.op(Tag::Alu(op, w), &[a, b]),
         }
     }
 
     fn set_flags(&mut self, src: FlagSrc, args: &[TermId]) {
         for k in 0..5u8 {
-            self.st.flags[k as usize] = self.terms.op(Tag::Flag(k, src), args.to_vec());
+            self.st.flags[k as usize] = self.terms.op(Tag::Flag(k, src), args);
         }
     }
 
@@ -385,10 +391,7 @@ impl<'w> Walker<'w> {
         for (i, &r) in CALLEE_SAVED.iter().enumerate() {
             saved[i] = self.st.gpr[r];
         }
-        let ret_slot = rsp_off.map(|off| {
-            let bytes: Vec<TermId> = (0..8).map(|k| self.frame_byte(off + k)).collect();
-            self.terms.pack(bytes)
-        });
+        let ret_slot = rsp_off.map(|off| self.st.frame_pack(self.terms, off, 8));
         // The caller owns everything above the return address: stores into
         // the caller's stack area must match even for a private frame.
         let frame = self.digest(rsp_off.map(|o| o + 8).unwrap_or(i64::MIN));
@@ -404,17 +407,12 @@ impl<'w> Walker<'w> {
 
     /// The live frame contents at or above `lo`, dropping bytes that still
     /// hold their untouched initial value.
-    fn digest(&mut self, lo: i64) -> Vec<(i64, TermId)> {
-        let entries: Vec<(i64, TermId)> =
-            self.st.frame.range(lo..).map(|(&k, &v)| (k, v)).collect();
-        let epoch = self.st.epoch;
-        entries
-            .into_iter()
-            .filter(|&(off, v)| {
-                let offc = self.terms.constant(off as u64);
-                let fresh = self.terms.op(Tag::FrameFresh, vec![epoch, offc]);
-                v != fresh
-            })
+    fn digest(&self, lo: i64) -> Vec<(i64, TermId)> {
+        self.st
+            .frame
+            .range(lo..)
+            .filter(|&(&off, &v)| !self.terms.is_frame_fresh(v, self.st.epoch, off))
+            .map(|(&k, &v)| (k, v))
             .collect()
     }
 
@@ -438,7 +436,7 @@ impl<'w> Walker<'w> {
             }
             Inst::Movsxd { dst, ref src } => {
                 if let Some(v) = self.int_value(src, Width::W32) {
-                    let t = self.terms.op(Tag::Movsxd, vec![v]);
+                    let t = self.terms.op(Tag::Movsxd, &[v]);
                     self.write_gpr(dst, t);
                 } else {
                     self.other(inst);
@@ -446,7 +444,7 @@ impl<'w> Walker<'w> {
             }
             Inst::Movzx8 { w: _, dst, ref src } => {
                 if let Some(v) = self.int_value(src, Width::W8) {
-                    let t = self.terms.op(Tag::Movzx8, vec![v]);
+                    let t = self.terms.op(Tag::Movzx8, &[v]);
                     self.write_gpr(dst, t);
                 } else {
                     self.other(inst);
@@ -497,7 +495,7 @@ impl<'w> Walker<'w> {
                     }
                 };
                 self.set_flags(FlagSrc::Imul(w), &[a, b]);
-                let t = self.terms.op(Tag::Imul(w), vec![a, b]);
+                let t = self.terms.op(Tag::Imul(w), &[a, b]);
                 self.write_gpr_w(dst, w, t);
             }
             Inst::ImulImm {
@@ -515,7 +513,7 @@ impl<'w> Walker<'w> {
                 };
                 let b = self.terms.constant(imm as i64 as u64);
                 self.set_flags(FlagSrc::Imul(w), &[a, b]);
-                let t = self.terms.op(Tag::Imul(w), vec![a, b]);
+                let t = self.terms.op(Tag::Imul(w), &[a, b]);
                 self.write_gpr_w(dst, w, t);
             }
             Inst::Unary { op, w, ref dst } => {
@@ -528,7 +526,7 @@ impl<'w> Walker<'w> {
                 };
                 match op {
                     UnOp::Not => {
-                        let t = self.terms.op(Tag::Not(w), vec![v]);
+                        let t = self.terms.op(Tag::Not(w), &[v]);
                         self.write_dst(dst, w, t);
                     }
                     UnOp::Neg => {
@@ -581,7 +579,7 @@ impl<'w> Walker<'w> {
                         } else {
                             let cnt = self.terms.constant(masked as u64);
                             self.set_flags(FlagSrc::Shift(op, w), &[v, cnt]);
-                            let t = self.terms.op(Tag::ShiftVal(op, w), vec![v, cnt]);
+                            let t = self.terms.op(Tag::ShiftVal(op, w), &[v, cnt]);
                             self.write_dst(dst, w, t);
                         }
                     }
@@ -593,17 +591,17 @@ impl<'w> Walker<'w> {
                         for k in 0..5u8 {
                             self.st.flags[k as usize] = self.terms.op(
                                 Tag::Flag(k, FlagSrc::ShiftCl(op, w)),
-                                vec![v, cl, prev[k as usize]],
+                                &[v, cl, prev[k as usize]],
                             );
                         }
-                        let t = self.terms.op(Tag::ShiftVal(op, w), vec![v, cl]);
+                        let t = self.terms.op(Tag::ShiftVal(op, w), &[v, cl]);
                         self.write_dst(dst, w, t);
                     }
                 }
             }
             Inst::Cqo { w } => {
                 let rax = self.gpr(Gpr::Rax);
-                let t = self.terms.op(Tag::Cqo(w), vec![rax]);
+                let t = self.terms.op(Tag::Cqo(w), &[rax]);
                 self.write_gpr(Gpr::Rdx, t);
             }
             Inst::Idiv { w, ref src } => {
@@ -616,8 +614,8 @@ impl<'w> Walker<'w> {
                 };
                 let hi = self.gpr(Gpr::Rdx);
                 let lo = self.gpr(Gpr::Rax);
-                let q = self.terms.op(Tag::Quot(w), vec![hi, lo, d]);
-                let r = self.terms.op(Tag::Rem(w), vec![hi, lo, d]);
+                let q = self.terms.op(Tag::Quot(w), &[hi, lo, d]);
+                let r = self.terms.op(Tag::Rem(w), &[hi, lo, d]);
                 self.set_flags(FlagSrc::Idiv(w), &[hi, lo, d]);
                 self.write_gpr(Gpr::Rax, q);
                 self.write_gpr(Gpr::Rdx, r);
@@ -671,9 +669,12 @@ impl<'w> Walker<'w> {
                 self.other(inst);
             }
             Inst::Setcc { cond, ref dst } => {
-                let flags: Vec<TermId> =
-                    cond_flags(cond).iter().map(|&k| self.st.flags[k]).collect();
-                let t = self.terms.op(Tag::Setcc(cond), flags);
+                let mut flags = [TermId::default(); 3];
+                let read = cond_flags(cond);
+                for (f, &k) in flags.iter_mut().zip(read) {
+                    *f = self.st.flags[k];
+                }
+                let t = self.terms.op(Tag::Setcc(cond), &flags[..read.len()]);
                 self.write_dst(dst, Width::W8, t);
             }
             Inst::MovSd { ref dst, ref src } => match (dst, src) {
@@ -754,8 +755,8 @@ impl<'w> Walker<'w> {
                     };
                     let alo = self.st.xmm_lo[dst as usize];
                     let ahi = self.st.xmm_hi[dst as usize];
-                    self.st.xmm_lo[dst as usize] = self.terms.op(Tag::Sse(scalar), vec![alo, blo]);
-                    self.st.xmm_hi[dst as usize] = self.terms.op(Tag::Sse(scalar), vec![ahi, bhi]);
+                    self.st.xmm_lo[dst as usize] = self.terms.op(Tag::Sse(scalar), &[alo, blo]);
+                    self.st.xmm_hi[dst as usize] = self.terms.op(Tag::Sse(scalar), &[ahi, bhi]);
                 } else {
                     let b = match self.sse_lo(src) {
                         Some(b) => b,
@@ -765,7 +766,7 @@ impl<'w> Walker<'w> {
                         }
                     };
                     let a = self.st.xmm_lo[dst as usize];
-                    self.st.xmm_lo[dst as usize] = self.terms.op(Tag::Sse(op), vec![a, b]);
+                    self.st.xmm_lo[dst as usize] = self.terms.op(Tag::Sse(op), &[a, b]);
                 }
             }
             Inst::Ucomisd { a, ref b } => {
@@ -780,7 +781,7 @@ impl<'w> Walker<'w> {
                 let zero = self.terms.constant(0);
                 for k in [0u8, 1, 4] {
                     self.st.flags[k as usize] =
-                        self.terms.op(Tag::Flag(k, FlagSrc::Ucomisd), vec![av, bv]);
+                        self.terms.op(Tag::Flag(k, FlagSrc::Ucomisd), &[av, bv]);
                 }
                 self.st.flags[2] = zero;
                 self.st.flags[3] = zero;
@@ -793,7 +794,7 @@ impl<'w> Walker<'w> {
                         return;
                     }
                 };
-                self.st.xmm_lo[dst as usize] = self.terms.op(Tag::Cvtsi2sd(w), vec![v]);
+                self.st.xmm_lo[dst as usize] = self.terms.op(Tag::Cvtsi2sd(w), &[v]);
                 // High lane is preserved by cvtsi2sd.
             }
             Inst::Cvttsd2si { w, dst, ref src } => {
@@ -804,7 +805,7 @@ impl<'w> Walker<'w> {
                         return;
                     }
                 };
-                let t = self.terms.op(Tag::Cvttsd2si(w), vec![v]);
+                let t = self.terms.op(Tag::Cvttsd2si(w), &[v]);
                 self.write_gpr(dst, t);
             }
             Inst::Ud2 => {
@@ -831,6 +832,11 @@ fn walk(
     insts: &[Inst],
     branch: Option<Cond>,
 ) -> (SideState, Vec<Event>, bool) {
+    #[cfg(test)]
+    tests::COUNTS.with(|c| {
+        let (walks, visits) = c.get();
+        c.set((walks + 1, visits));
+    });
     let mut w = Walker {
         terms,
         img,
@@ -979,47 +985,69 @@ fn join(
         }
         out
     }
-    fn frame_byte_of(terms: &mut Terms, s: &SideState, off: i64) -> TermId {
-        match s.frame.get(&off) {
-            Some(&t) => t,
-            None => {
-                let offc = terms.constant(off as u64);
-                terms.op(Tag::FrameFresh, vec![s.epoch, offc])
+    /// Flatten one side's accumulated state `s` and incoming state `i`
+    /// into joint location vectors: the 55 register, flag and memory
+    /// locations, then one packed value per frame chunk. A chunk whose
+    /// bytes and epoch agree on both states would pack to one term and
+    /// never take a phi, so it is not packed: it gets an equal placeholder
+    /// in both vectors (keeping every location's index, which names its
+    /// phi class) and `differs[ci] = false`, and its bytes stay as they are.
+    fn flatten(
+        terms: &mut Terms,
+        s: &SideState,
+        i: &SideState,
+        chunks: &[(i64, u8)],
+        cur_flat: &mut Vec<TermId>,
+        inc_flat: &mut Vec<TermId>,
+        differs: &mut Vec<bool>,
+    ) {
+        for (v, st) in [(&mut *cur_flat, s), (&mut *inc_flat, i)] {
+            v.extend_from_slice(&st.gpr);
+            v.extend_from_slice(&st.xmm_lo);
+            v.extend_from_slice(&st.xmm_hi);
+            v.extend_from_slice(&st.flags);
+            v.push(st.mem);
+            v.push(st.epoch);
+        }
+        let same_epoch = s.epoch == i.epoch;
+        for &(off, len) in chunks {
+            let range = off..off + len as i64;
+            let differ = !same_epoch || !s.frame.range(range.clone()).eq(i.frame.range(range));
+            differs.push(differ);
+            if differ {
+                cur_flat.push(s.frame_pack(terms, off, len));
+                inc_flat.push(i.frame_pack(terms, off, len));
+            } else {
+                cur_flat.push(TermId::default());
+                inc_flat.push(TermId::default());
             }
         }
     }
-    fn flatten(terms: &mut Terms, s: &SideState, chunks: &[(i64, u8)]) -> Vec<TermId> {
-        let mut v = Vec::with_capacity(55 + chunks.len());
-        v.extend_from_slice(&s.gpr);
-        v.extend_from_slice(&s.xmm_lo);
-        v.extend_from_slice(&s.xmm_hi);
-        v.extend_from_slice(&s.flags);
-        v.push(s.mem);
-        v.push(s.epoch);
-        for &(off, len) in chunks {
-            let bytes: Vec<TermId> = (0..len as i64)
-                .map(|k| frame_byte_of(terms, s, off + k))
-                .collect();
-            let packed = terms.pack(bytes);
-            v.push(packed);
-        }
-        v
-    }
-    fn unflatten(terms: &mut Terms, s: &mut SideState, chunks: &[(i64, u8)], v: &[TermId]) {
+    /// Write joined locations back into `s`, rebuilding only the frame
+    /// chunks that were packed.
+    fn unflatten(
+        terms: &mut Terms,
+        s: &mut SideState,
+        chunks: &[(i64, u8)],
+        differs: &[bool],
+        v: &[TermId],
+    ) {
         s.gpr.copy_from_slice(&v[0..16]);
         s.xmm_lo.copy_from_slice(&v[16..32]);
         s.xmm_hi.copy_from_slice(&v[32..48]);
         s.flags.copy_from_slice(&v[48..53]);
         s.mem = v[53];
         s.epoch = v[54];
-        s.frame.clear();
         for (ci, &(off, len)) in chunks.iter().enumerate() {
+            if !differs[ci] {
+                continue;
+            }
             let t = v[55 + ci];
             for k in 0..len as i64 {
                 let b = terms.byte(t, k as u8);
-                let offc = terms.constant((off + k) as u64);
-                let fresh = terms.op(Tag::FrameFresh, vec![s.epoch, offc]);
-                if b != fresh {
+                if terms.is_frame_fresh(b, s.epoch, off + k) {
+                    s.frame.remove(&(off + k));
+                } else {
                     s.frame.insert(off + k, b);
                 }
             }
@@ -1028,18 +1056,36 @@ fn join(
 
     let pre_chunks = chunks(&cur.0, inc_pre);
     let post_chunks = chunks(&cur.1, inc_post);
-    let mut cur_flat = flatten(terms, &cur.0, &pre_chunks);
+    let mut cur_flat = Vec::with_capacity(110 + pre_chunks.len() + post_chunks.len());
+    let mut inc_flat = Vec::with_capacity(cur_flat.capacity());
+    let mut pre_differs = Vec::with_capacity(pre_chunks.len());
+    let mut post_differs = Vec::with_capacity(post_chunks.len());
+    flatten(
+        terms,
+        &cur.0,
+        inc_pre,
+        &pre_chunks,
+        &mut cur_flat,
+        &mut inc_flat,
+        &mut pre_differs,
+    );
     let pre_len = cur_flat.len();
-    cur_flat.extend(flatten(terms, &cur.1, &post_chunks));
-    let mut inc_flat = flatten(terms, inc_pre, &pre_chunks);
-    inc_flat.extend(flatten(terms, inc_post, &post_chunks));
+    flatten(
+        terms,
+        &cur.1,
+        inc_post,
+        &post_chunks,
+        &mut cur_flat,
+        &mut inc_flat,
+        &mut post_differs,
+    );
 
     // Locations that disagree between accumulated and incoming state get a
     // phi. The phi class is keyed by the (current, incoming) value pair so
     // that two locations carrying the same moved value — e.g. the pre side's
     // register and the post side's coalesced register — receive the *same*
     // phi atom, keeping them provably equal downstream.
-    let mut class: HashMap<(TermId, TermId), u32> = HashMap::new();
+    let mut class: HashMap<(TermId, TermId), u32, FxBuild> = HashMap::default();
     let mut changed = false;
     for i in 0..cur_flat.len() {
         let (c, v) = (cur_flat[i], inc_flat[i]);
@@ -1054,8 +1100,20 @@ fn join(
         }
     }
     if changed {
-        unflatten(terms, &mut cur.0, &pre_chunks, &cur_flat[..pre_len]);
-        unflatten(terms, &mut cur.1, &post_chunks, &cur_flat[pre_len..]);
+        unflatten(
+            terms,
+            &mut cur.0,
+            &pre_chunks,
+            &pre_differs,
+            &cur_flat[..pre_len],
+        );
+        unflatten(
+            terms,
+            &mut cur.1,
+            &post_chunks,
+            &post_differs,
+            &cur_flat[pre_len..],
+        );
     }
     changed
 }
@@ -1252,8 +1310,12 @@ pub(crate) fn check(
     let init = SideState::entry(&mut terms);
     let rsp0 = init.gpr[Gpr::Rsp as usize];
 
-    // Joint fixpoint over (pre, post) states.
+    // Joint fixpoint over (pre, post) states. A block is re-queued
+    // whenever its entry state changes, so its last walk here starts from
+    // its final entry state: that walk's event streams are the ones
+    // compared, and no block is walked again for the comparison.
     let mut states: Vec<Option<(SideState, SideState)>> = (0..nblocks).map(|_| None).collect();
+    let mut events: Vec<Option<(Vec<Event>, Vec<Event>)>> = (0..nblocks).map(|_| None).collect();
     let mut visits = vec![0u32; nblocks];
     states[cap.entry_block] = Some((init.clone(), init));
     let mut work: VecDeque<usize> = VecDeque::new();
@@ -1276,7 +1338,12 @@ pub(crate) fn check(
             Some(s) => s,
             None => continue,
         };
-        let (out_pre, _, halt_pre) = walk(
+        #[cfg(test)]
+        tests::COUNTS.with(|c| {
+            let (walks, visits) = c.get();
+            c.set((walks, visits + 1));
+        });
+        let (out_pre, ev_pre, halt_pre) = walk(
             &mut terms,
             img,
             snap,
@@ -1288,7 +1355,7 @@ pub(crate) fn check(
             &plan.pre,
             plan.branch,
         );
-        let (out_post, _, halt_post) = walk(
+        let (out_post, ev_post, halt_post) = walk(
             &mut terms,
             img,
             snap,
@@ -1300,6 +1367,7 @@ pub(crate) fn check(
             &plan.post,
             plan.branch,
         );
+        events[b] = Some((ev_pre, ev_post));
         if halt_pre || halt_post {
             continue;
         }
@@ -1318,41 +1386,13 @@ pub(crate) fn check(
         }
     }
 
-    // Phase B: with stable per-block entry states, compare the observable
-    // event streams of the two sides block by block.
+    // Compare the observable event streams of the two sides block by
+    // block, from each block's final walk.
     for &b in &order {
-        let plan = match plans[b].as_ref() {
-            Some(p) => p,
-            None => continue,
+        let ((ev_pre, ev_post), plan) = match (events[b].as_ref(), plans[b].as_ref()) {
+            (Some(ev), Some(plan)) => (ev, plan),
+            _ => continue,
         };
-        let (spre, spost) = match states[b].clone() {
-            Some(s) => s,
-            None => continue,
-        };
-        let (_, ev_pre, _) = walk(
-            &mut terms,
-            img,
-            snap,
-            rsp0,
-            escaped,
-            ret_kind,
-            b as u32,
-            spre,
-            &plan.pre,
-            plan.branch,
-        );
-        let (_, ev_post, _) = walk(
-            &mut terms,
-            img,
-            snap,
-            rsp0,
-            escaped,
-            ret_kind,
-            b as u32,
-            spost,
-            &plan.post,
-            plan.branch,
-        );
         let mut diverged = false;
         for (i, (pe, qe)) in ev_pre.iter().zip(ev_post.iter()).enumerate() {
             if pe != qe {
@@ -1378,6 +1418,60 @@ pub(crate) fn check(
                     ev_pre.len(),
                     ev_post.len()
                 ),
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use brew_core::{PassConfig, RetKind, Rewriter, SpecRequest};
+    use brew_image::Image;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `(block walks, fixpoint visits)` of the checks run on this
+        /// thread.
+        pub(super) static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// Every block walk is one of the two walks (pre and post) of a
+    /// fixpoint visit: the comparison walks nothing again.
+    #[test]
+    fn comparison_reuses_the_fixpoint_walks() {
+        const PROG: &str = r#"
+            int powsum(int x, int n) {
+                int r = 1;
+                int s = 0;
+                for (int i = 0; i < n; i++) { s += r; r *= x; }
+                return s;
+            }
+        "#;
+        let img = Image::new();
+        let prog = brew_minic::compile_into(PROG, &img).unwrap();
+        let func = prog.func("powsum").unwrap();
+        for passes in [PassConfig::default(), PassConfig::none()] {
+            let req = SpecRequest::new()
+                .unknown_int()
+                .unknown_int()
+                .ret(RetKind::Int)
+                .func(func, |o| o.max_variants = 1)
+                .passes(passes);
+            let res = Rewriter::new(&img).rewrite(func, &req).unwrap();
+            let blocks = res.equiv.as_ref().unwrap().blocks.len() as u64;
+            COUNTS.with(|c| c.set((0, 0)));
+            let report = crate::verify(&img, func, &req, &res, &Default::default());
+            assert!(report.passed(), "{passes:?}: clean loop variant rejected");
+            let (walks, visits) = COUNTS.with(|c| c.get());
+            assert!(
+                visits > blocks,
+                "{passes:?}: the loop must be walked again after its back-edge join \
+                 ({visits} visits, {blocks} blocks)"
+            );
+            assert_eq!(
+                walks,
+                2 * visits,
+                "{passes:?}: extra walks outside the fixpoint"
             );
         }
     }

@@ -20,8 +20,8 @@ use brew_x86::alu::{self, AluOp, ShOp};
 use brew_x86::cond::Cond;
 use brew_x86::inst::SseOp;
 use brew_x86::reg::Width;
-use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Interned term handle. Equal ids ⇔ provably equal values.
 pub(crate) type TermId = u32;
@@ -132,9 +132,15 @@ pub(crate) enum Tag {
     FrameFresh,
 }
 
-/// One interned node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum Node {
+/// Most arguments any operator takes: a byte [`Tag::Pack`] of a 64-bit
+/// value. Operator arguments are stored inline, so a term allocates
+/// nothing of its own.
+pub(crate) const MAX_ARGS: usize = 8;
+
+/// A view of one interned node. Equality and hashing see only the live
+/// content (the argument and part slices), never how a node is stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Node<'a> {
     /// A known 64-bit constant.
     Const(u64),
     /// An abstract input.
@@ -142,10 +148,101 @@ pub(crate) enum Node {
     /// Canonical wrapping 64-bit linear sum `k + Σ coeffᵢ·partᵢ`; parts
     /// are sorted by id, coefficients are nonzero, and no part is itself
     /// a `Lin` or `Const`.
-    Lin { k: u64, parts: Vec<(TermId, i64)> },
+    Lin { k: u64, parts: &'a [(TermId, i64)] },
     /// Structural operator application.
-    Op { tag: Tag, args: Vec<TermId> },
+    Op { tag: Tag, args: &'a [TermId] },
 }
+
+/// Storage form of a node: operator arguments inline, linear-sum parts in
+/// the arena's shared part pool. Every node is stored exactly once, here;
+/// the intern table holds only ids.
+enum Slot {
+    Const(u64),
+    Atom(Atom),
+    Lin { k: u64, start: u32, len: u32 },
+    Op { tag: Tag, args: Args },
+}
+
+/// Inline operator arguments; only the first `len` entries are live, and
+/// nothing compares or hashes the dead tail.
+struct Args {
+    ids: [TermId; MAX_ARGS],
+    len: u8,
+}
+
+impl Args {
+    fn new(tag: Tag, args: &[TermId]) -> Args {
+        assert!(
+            args.len() <= MAX_ARGS,
+            "term operator {tag:?} applied to {} arguments; the arena stores at most {MAX_ARGS} inline",
+            args.len()
+        );
+        let mut ids = [0; MAX_ARGS];
+        ids[..args.len()].copy_from_slice(args);
+        Args {
+            ids,
+            len: args.len() as u8,
+        }
+    }
+
+    fn live(&self) -> &[TermId] {
+        &self.ids[..self.len as usize]
+    }
+
+    fn live_mut(&mut self) -> &mut [TermId] {
+        &mut self.ids[..self.len as usize]
+    }
+}
+
+/// The Fx hash (a rotate, xor and multiply per word): much cheaper than
+/// SipHash for the small integer keys of the term arena and the join's
+/// phi classes, and deterministic. Not DoS-resistant, which nothing here
+/// needs.
+#[derive(Default)]
+pub(crate) struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(i as u64);
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `HashMap`/`HashSet` hasher state for [`FxHasher`].
+pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// The flag indices a condition code reads, in fixed (cf, zf, sf, of, pf)
 /// order — the set is identical for a condition and its negation, which
@@ -168,23 +265,100 @@ pub(crate) fn cond_flags(c: Cond) -> &'static [usize] {
 /// byte-identical reports.
 #[derive(Default)]
 pub(crate) struct Terms {
-    nodes: Vec<Node>,
-    map: HashMap<Node, TermId>,
+    /// Every node, indexed by its id.
+    slots: Vec<Slot>,
+    /// Pool of the parts of every interned `Lin`.
+    parts: Vec<(TermId, i64)>,
+    /// Open-addressing intern table (linear probing, power-of-two size):
+    /// `(id, h)` with `h` the high half of the node's hash, or
+    /// `(EMPTY, _)`.
+    table: Vec<(TermId, u32)>,
+    /// Reused buffer the linear-sum builders gather parts into.
+    scratch: Vec<(TermId, i64)>,
+}
+
+/// An empty intern-table entry.
+const EMPTY: TermId = TermId::MAX;
+
+/// The intern table's index hash of a node.
+fn node_hash(n: &Node<'_>) -> u32 {
+    let mut h = FxHasher::default();
+    n.hash(&mut h);
+    (h.finish() >> 32) as u32
 }
 
 impl Terms {
-    pub fn get(&self, t: TermId) -> &Node {
-        &self.nodes[t as usize]
+    pub fn get(&self, t: TermId) -> Node<'_> {
+        match &self.slots[t as usize] {
+            Slot::Const(v) => Node::Const(*v),
+            Slot::Atom(a) => Node::Atom(*a),
+            Slot::Lin { k, start, len } => Node::Lin {
+                k: *k,
+                parts: &self.parts[*start as usize..(*start + *len) as usize],
+            },
+            Slot::Op { tag, args } => Node::Op {
+                tag: *tag,
+                args: args.live(),
+            },
+        }
     }
 
-    fn intern(&mut self, n: Node) -> TermId {
-        if let Some(&id) = self.map.get(&n) {
-            return id;
+    fn intern(&mut self, n: Node<'_>) -> TermId {
+        // Keep the table at most three-quarters full.
+        if (self.slots.len() + 1) * 4 > self.table.len() * 3 {
+            self.grow();
         }
-        let id = self.nodes.len() as TermId;
-        self.nodes.push(n.clone());
-        self.map.insert(n, id);
+        let h = node_hash(&n);
+        let mask = self.table.len() - 1;
+        let mut i = h as usize & mask;
+        loop {
+            let (id, ih) = self.table[i];
+            if id == EMPTY {
+                break;
+            }
+            if ih == h && self.get(id) == n {
+                return id;
+            }
+            i = (i + 1) & mask;
+        }
+        let id = self.slots.len() as TermId;
+        let slot = match n {
+            Node::Const(v) => Slot::Const(v),
+            Node::Atom(a) => Slot::Atom(a),
+            Node::Lin { k, parts } => {
+                let start = self.parts.len() as u32;
+                self.parts.extend_from_slice(parts);
+                Slot::Lin {
+                    k,
+                    start,
+                    len: parts.len() as u32,
+                }
+            }
+            Node::Op { tag, args } => Slot::Op {
+                tag,
+                args: Args::new(tag, args),
+            },
+        };
+        self.slots.push(slot);
+        self.table[i] = (id, h);
         id
+    }
+
+    /// Double the intern table, re-placing every id by its stored hash.
+    fn grow(&mut self) {
+        let cap = (self.table.len() * 2).max(64);
+        let old = std::mem::replace(&mut self.table, vec![(EMPTY, 0); cap]);
+        let mask = cap - 1;
+        for (id, h) in old {
+            if id == EMPTY {
+                continue;
+            }
+            let mut i = h as usize & mask;
+            while self.table[i].0 != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.table[i] = (id, h);
+        }
     }
 
     pub fn constant(&mut self, v: u64) -> TermId {
@@ -197,75 +371,79 @@ impl Terms {
 
     pub fn as_const(&self, t: TermId) -> Option<u64> {
         match self.get(t) {
-            Node::Const(v) => Some(*v),
+            Node::Const(v) => Some(v),
             _ => None,
         }
     }
 
     // ---- linear arithmetic -------------------------------------------
 
-    /// View any term as a linear sum (constant + weighted parts).
-    fn lin_view(&self, t: TermId) -> (u64, Vec<(TermId, i64)>) {
+    /// Append the linear view of `scale · t` (any term viewed as constant
+    /// + weighted parts) to `out`; returns the scaled constant.
+    fn push_lin(&self, t: TermId, scale: i64, out: &mut Vec<(TermId, i64)>) -> u64 {
         match self.get(t) {
-            Node::Const(v) => (*v, Vec::new()),
-            Node::Lin { k, parts } => (*k, parts.clone()),
-            _ => (0, vec![(t, 1)]),
+            Node::Const(v) => v.wrapping_mul(scale as u64),
+            Node::Lin { k, parts } => {
+                out.extend(parts.iter().map(|&(p, c)| (p, c.wrapping_mul(scale))));
+                k.wrapping_mul(scale as u64)
+            }
+            _ => {
+                out.push((t, scale));
+                0
+            }
         }
     }
 
-    /// Intern a linear sum in canonical form.
+    /// Intern the linear sum `k + Σ parts` in canonical form. `parts` is
+    /// the arena's scratch buffer, handed back cleared.
     fn lin(&mut self, k: u64, mut parts: Vec<(TermId, i64)>) -> TermId {
-        parts.sort_by_key(|&(t, _)| t);
+        parts.sort_unstable_by_key(|&(t, _)| t);
         // Merge duplicate parts, drop zero coefficients.
-        let mut merged: Vec<(TermId, i64)> = Vec::with_capacity(parts.len());
-        for (t, c) in parts {
-            match merged.last_mut() {
-                Some((lt, lc)) if *lt == t => *lc = lc.wrapping_add(c),
-                _ => merged.push((t, c)),
+        parts.dedup_by(|cur, prev| {
+            cur.0 == prev.0 && {
+                prev.1 = prev.1.wrapping_add(cur.1);
+                true
             }
+        });
+        parts.retain(|&(_, c)| c != 0);
+        let t = match parts[..] {
+            [] => self.constant(k),
+            [(p, 1)] if k == 0 => p,
+            _ => self.intern(Node::Lin { k, parts: &parts }),
+        };
+        parts.clear();
+        self.scratch = parts;
+        t
+    }
+
+    /// Wrapping 64-bit `sa·a + sb·b + k`.
+    fn combine(&mut self, a: TermId, sa: i64, b: Option<(TermId, i64)>, k: u64) -> TermId {
+        let mut parts = std::mem::take(&mut self.scratch);
+        let mut kk = self.push_lin(a, sa, &mut parts).wrapping_add(k);
+        if let Some((b, sb)) = b {
+            kk = kk.wrapping_add(self.push_lin(b, sb, &mut parts));
         }
-        merged.retain(|&(_, c)| c != 0);
-        if merged.is_empty() {
-            return self.constant(k);
-        }
-        if k == 0 && merged.len() == 1 && merged[0].1 == 1 {
-            return merged[0].0;
-        }
-        self.intern(Node::Lin { k, parts: merged })
+        self.lin(kk, parts)
     }
 
     /// Wrapping 64-bit `a + b`.
     pub fn add64(&mut self, a: TermId, b: TermId) -> TermId {
-        let (ka, mut pa) = self.lin_view(a);
-        let (kb, pb) = self.lin_view(b);
-        pa.extend(pb);
-        self.lin(ka.wrapping_add(kb), pa)
+        self.combine(a, 1, Some((b, 1)), 0)
     }
 
     /// Wrapping 64-bit `a - b`.
     pub fn sub64(&mut self, a: TermId, b: TermId) -> TermId {
-        let (ka, mut pa) = self.lin_view(a);
-        let (kb, pb) = self.lin_view(b);
-        for (t, c) in pb {
-            pa.push((t, c.wrapping_neg()));
-        }
-        self.lin(ka.wrapping_sub(kb), pa)
+        self.combine(a, 1, Some((b, -1)), 0)
     }
 
     /// Wrapping 64-bit `a + k`.
     pub fn add_const(&mut self, a: TermId, k: i64) -> TermId {
-        let (ka, pa) = self.lin_view(a);
-        self.lin(ka.wrapping_add(k as u64), pa)
+        self.combine(a, 1, None, k as u64)
     }
 
     /// Wrapping 64-bit `a * c` for a small constant scale.
     pub fn mul_const(&mut self, a: TermId, c: i64) -> TermId {
-        let (ka, pa) = self.lin_view(a);
-        let parts = pa
-            .into_iter()
-            .map(|(t, co)| (t, co.wrapping_mul(c)))
-            .collect();
-        self.lin(ka.wrapping_mul(c as u64), parts)
+        self.combine(a, c, None, 0)
     }
 
     /// If `t` is exactly `base + k` for the single unit-weight part
@@ -273,7 +451,7 @@ impl Terms {
     pub fn offset_of(&self, t: TermId, base: TermId) -> Option<i64> {
         match self.get(t) {
             _ if t == base => Some(0),
-            Node::Lin { k, parts } if parts.len() == 1 && parts[0] == (base, 1) => Some(*k as i64),
+            Node::Lin { k, parts } if parts.len() == 1 && parts[0] == (base, 1) => Some(k as i64),
             _ => None,
         }
     }
@@ -287,12 +465,24 @@ impl Terms {
         }
     }
 
+    /// Is `t` the unwritten frame byte `FrameFresh(epoch, off)`? Reads
+    /// the node rather than interning the fresh term to compare against.
+    pub fn is_frame_fresh(&self, t: TermId, epoch: TermId, off: i64) -> bool {
+        match self.get(t) {
+            Node::Op {
+                tag: Tag::FrameFresh,
+                args,
+            } => args[0] == epoch && self.as_const(args[1]) == Some(off as u64),
+            _ => false,
+        }
+    }
+
     // ---- width predicates --------------------------------------------
 
     /// Is `t` provably a zero-extended 32-bit value?
     pub fn is_zext32(&self, t: TermId) -> bool {
         match self.get(t) {
-            Node::Const(v) => *v <= u32::MAX as u64,
+            Node::Const(v) => v <= u32::MAX as u64,
             Node::Op { tag, args } => match tag {
                 Tag::Low32 | Tag::Movzx8 | Tag::Setcc(_) | Tag::Flag(..) => true,
                 Tag::Alu(op, Width::W32) => op.writes_dst(),
@@ -313,10 +503,10 @@ impl Terms {
     /// Is `t` provably a zero-extended 8-bit value?
     fn is_zext8(&self, t: TermId) -> bool {
         match self.get(t) {
-            Node::Const(v) => *v <= u8::MAX as u64,
+            Node::Const(v) => v <= u8::MAX as u64,
             Node::Op { tag, args } => {
                 matches!(tag, Tag::Movzx8 | Tag::Setcc(_) | Tag::Flag(..))
-                    || (*tag == Tag::Pack && args.len() == 1)
+                    || (tag == Tag::Pack && args.len() == 1)
             }
             _ => false,
         }
@@ -324,16 +514,16 @@ impl Terms {
 
     /// Zero-extended low 32 bits of `t`.
     pub fn low32(&mut self, t: TermId) -> TermId {
-        self.op(Tag::Low32, vec![t])
+        self.op(Tag::Low32, &[t])
     }
 
     /// Byte `k` of `t`.
     pub fn byte(&mut self, t: TermId, k: u8) -> TermId {
-        self.op(Tag::Byte(k), vec![t])
+        self.op(Tag::Byte(k), &[t])
     }
 
     /// Little-endian packing of 1, 4 or 8 byte terms.
-    pub fn pack(&mut self, bytes: Vec<TermId>) -> TermId {
+    pub fn pack(&mut self, bytes: &[TermId]) -> TermId {
         self.op(Tag::Pack, bytes)
     }
 
@@ -342,15 +532,18 @@ impl Terms {
     /// Build `tag(args)`, applying the full rewrite system: operand
     /// canonicalization (`Low32` stripping where the operator reads at
     /// most 32 bits), commutative sorting, constant folding through
-    /// [`brew_x86::alu`], and the structural collapse rules.
-    pub fn op(&mut self, tag: Tag, mut args: Vec<TermId>) -> TermId {
-        self.canon_args(tag, &mut args);
-        if let Some(t) = self.collapse(tag, &args) {
+    /// [`brew_x86::alu`], and the structural collapse rules. Panics if
+    /// given more than [`MAX_ARGS`] arguments.
+    pub fn op(&mut self, tag: Tag, args: &[TermId]) -> TermId {
+        let mut args = Args::new(tag, args);
+        self.canon_args(tag, args.live_mut());
+        if let Some(t) = self.collapse(tag, args.live()) {
             return t;
         }
-        if let Some(v) = self.fold(tag, &args) {
+        if let Some(v) = self.fold(tag, args.live()) {
             return self.constant(v);
         }
+        let args = args.live_mut();
         if commutative(tag) && args.len() == 2 && args[0] > args[1] {
             args.swap(0, 1);
         }
@@ -360,7 +553,7 @@ impl Terms {
     /// Strip `Low32` wrappers from operands the operator only reads the
     /// low 32 (or 8) bits of — renamed chains then compare equal whether
     /// or not a 32-bit copy sat in between.
-    fn canon_args(&mut self, tag: Tag, args: &mut [TermId]) {
+    fn canon_args(&self, tag: Tag, args: &mut [TermId]) {
         let strip = |terms: &Terms, t: TermId| -> TermId {
             match terms.get(t) {
                 Node::Op {
@@ -370,7 +563,7 @@ impl Terms {
                 _ => t,
             }
         };
-        let mut strip_at = |this: &mut Terms, idxs: &[usize]| {
+        let mut strip_at = |this: &Terms, idxs: &[usize]| {
             for &i in idxs {
                 if i < args.len() {
                     args[i] = strip(this, args[i]);
@@ -420,7 +613,7 @@ impl Terms {
                 }
                 None
             }
-            Tag::Byte(k) => match self.get(args[0]).clone() {
+            Tag::Byte(k) => match self.get(args[0]) {
                 Node::Op {
                     tag: Tag::InsertByte0,
                     args: ia,
@@ -477,7 +670,7 @@ impl Terms {
                         Node::Op {
                             tag: Tag::Byte(k),
                             args: ba,
-                        } if *k as usize == i && (src.is_none() || src == Some(ba[0])) => {
+                        } if k as usize == i && (src.is_none() || src == Some(ba[0])) => {
                             src = Some(ba[0]);
                             run = i + 1;
                         }
@@ -524,7 +717,7 @@ impl Terms {
                     })
                 } else if c != masked as u64 {
                     let cnt = self.constant(masked as u64);
-                    Some(self.op(Tag::ShiftVal(op, w), vec![args[0], cnt]))
+                    Some(self.op(Tag::ShiftVal(op, w), &[args[0], cnt]))
                 } else {
                     None
                 }
@@ -537,7 +730,7 @@ impl Terms {
                     Some(args[2])
                 } else {
                     let cnt = self.constant(masked as u64);
-                    Some(self.op(Tag::Flag(k, FlagSrc::Shift(op, w)), vec![args[0], cnt]))
+                    Some(self.op(Tag::Flag(k, FlagSrc::Shift(op, w)), &[args[0], cnt]))
                 }
             }
             Tag::Select(len) => self.select_through_stores(len, args[0], args[1]),
@@ -554,10 +747,10 @@ impl Terms {
                 Node::Op {
                     tag: Tag::Store(slen),
                     args,
-                } => (*slen, args[0], args[1], args[2]),
+                } => (slen, args[0], args[1], args[2]),
                 // Reading through untouched memory: nothing to collapse
                 // unless we skipped at least one store.
-                _ => return moved.then(|| self.op(Tag::Select(len), vec![mem, addr])),
+                _ => return moved.then(|| self.op(Tag::Select(len), &[mem, addr])),
             };
             let (slen, sprev, saddr, sval) = store;
             if saddr == addr && slen == len {
@@ -571,7 +764,7 @@ impl Terms {
                     mem = sprev;
                     moved = true;
                 }
-                _ => return moved.then(|| self.op(Tag::Select(len), vec![mem, addr])),
+                _ => return moved.then(|| self.op(Tag::Select(len), &[mem, addr])),
             }
         }
     }
@@ -639,10 +832,10 @@ impl Terms {
             }
             Node::Atom(a) => {
                 let _ = match a {
-                    Atom::Gpr(r) => write!(out, "{}₀", brew_x86::reg::Gpr::from_number(*r)),
+                    Atom::Gpr(r) => write!(out, "{}₀", brew_x86::reg::Gpr::from_number(r)),
                     Atom::XmmLo(x) => write!(out, "xmm{x}.lo₀"),
                     Atom::XmmHi(x) => write!(out, "xmm{x}.hi₀"),
-                    Atom::Flag(f) => write!(out, "{}₀", FLAG_NAMES[*f as usize]),
+                    Atom::Flag(f) => write!(out, "{}₀", FLAG_NAMES[f as usize]),
                     Atom::Mem => write!(out, "mem₀"),
                     Atom::Frame => write!(out, "frame₀"),
                     Atom::CallOut { block, idx, slot } => {
@@ -656,8 +849,8 @@ impl Terms {
             Node::Lin { k, parts } => {
                 let _ = write!(out, "(");
                 let mut first = true;
-                if *k != 0 || parts.is_empty() {
-                    let _ = write!(out, "{:#x}", *k as i64);
+                if k != 0 || parts.is_empty() {
+                    let _ = write!(out, "{:#x}", k as i64);
                     first = false;
                 }
                 for (p, c) in parts {
@@ -738,15 +931,15 @@ mod tests {
     #[test]
     fn commuted_operands_intern_equal() {
         let (mut t, a, b) = arena();
-        let x = t.op(Tag::Imul(Width::W64), vec![a, b]);
-        let y = t.op(Tag::Imul(Width::W64), vec![b, a]);
+        let x = t.op(Tag::Imul(Width::W64), &[a, b]);
+        let y = t.op(Tag::Imul(Width::W64), &[b, a]);
         assert_eq!(x, y);
         // subtraction must NOT commute
-        let s1 = t.op(Tag::Alu(AluOp::Sub, Width::W32), vec![a, b]);
-        let s2 = t.op(Tag::Alu(AluOp::Sub, Width::W32), vec![b, a]);
+        let s1 = t.op(Tag::Alu(AluOp::Sub, Width::W32), &[a, b]);
+        let s2 = t.op(Tag::Alu(AluOp::Sub, Width::W32), &[b, a]);
         assert_ne!(s1, s2);
-        let f1 = t.op(Tag::Sse(SseOp::Divsd), vec![a, b]);
-        let f2 = t.op(Tag::Sse(SseOp::Divsd), vec![b, a]);
+        let f1 = t.op(Tag::Sse(SseOp::Divsd), &[a, b]);
+        let f2 = t.op(Tag::Sse(SseOp::Divsd), &[b, a]);
         assert_ne!(f1, f2);
     }
 
@@ -755,13 +948,13 @@ mod tests {
         let (mut t, _, _) = arena();
         let c7 = t.constant(7);
         let c5 = t.constant(5);
-        let p = t.op(Tag::Imul(Width::W64), vec![c7, c5]);
+        let p = t.op(Tag::Imul(Width::W64), &[c7, c5]);
         assert_eq!(t.as_const(p), Some(35));
-        let shifted = t.op(Tag::ShiftVal(ShOp::Shl, Width::W64), vec![c7, c5]);
+        let shifted = t.op(Tag::ShiftVal(ShOp::Shl, Width::W64), &[c7, c5]);
         assert_eq!(t.as_const(shifted), Some(7 << 5));
         let zf = t.op(
             Tag::Flag(1, FlagSrc::Alu(AluOp::Sub, Width::W64)),
-            vec![c7, c7],
+            &[c7, c7],
         );
         assert_eq!(t.as_const(zf), Some(1));
     }
@@ -770,14 +963,14 @@ mod tests {
     fn byte_pack_roundtrip_collapses() {
         let (mut t, a, _) = arena();
         let bytes: Vec<TermId> = (0..8).map(|k| t.byte(a, k)).collect();
-        assert_eq!(t.pack(bytes), a);
+        assert_eq!(t.pack(&bytes), a);
         let low: Vec<TermId> = (0..4).map(|k| t.byte(a, k)).collect();
-        let packed = t.pack(low);
+        let packed = t.pack(&low);
         let l32 = t.low32(a);
         assert_eq!(packed, l32);
         // low32 of an already-32-bit value is the identity
         assert_eq!(t.low32(l32), l32);
-        let mz = t.op(Tag::Movzx8, vec![a]);
+        let mz = t.op(Tag::Movzx8, &[a]);
         assert_eq!(t.low32(mz), mz);
         // high bytes of a zero-extended value are zero
         let hi = t.byte(l32, 5);
@@ -790,14 +983,14 @@ mod tests {
         let mem0 = t.atom(Atom::Mem);
         let a1 = t.constant(0x1000);
         let a2 = t.constant(0x2000);
-        let m1 = t.op(Tag::Store(8), vec![mem0, a1, a]);
-        let m2 = t.op(Tag::Store(8), vec![m1, a2, b]);
+        let m1 = t.op(Tag::Store(8), &[mem0, a1, a]);
+        let m2 = t.op(Tag::Store(8), &[m1, a2, b]);
         // read back through the unrelated store
-        let r = t.op(Tag::Select(8), vec![m2, a1]);
+        let r = t.op(Tag::Select(8), &[m2, a1]);
         assert_eq!(r, a);
         // overlapping read stays structural
         let a1p4 = t.constant(0x1004);
-        let r2 = t.op(Tag::Select(8), vec![m2, a1p4]);
+        let r2 = t.op(Tag::Select(8), &[m2, a1p4]);
         assert!(matches!(
             t.get(r2),
             Node::Op {
@@ -808,11 +1001,57 @@ mod tests {
     }
 
     #[test]
+    fn eight_byte_pack_roundtrips_inline() {
+        let mut t = Terms::default();
+        // Bytes of eight different values: nothing collapses the pack.
+        let bytes: Vec<TermId> = (0..8u8)
+            .map(|r| {
+                let v = t.atom(Atom::Gpr(r));
+                t.byte(v, r % 4)
+            })
+            .collect();
+        let p = t.pack(&bytes);
+        match t.get(p) {
+            Node::Op {
+                tag: Tag::Pack,
+                args,
+            } => assert_eq!(args, &bytes[..]),
+            other => panic!("expected a structural pack, got {other:?}"),
+        }
+        let back: Vec<TermId> = (0..8).map(|k| t.byte(p, k)).collect();
+        assert_eq!(back, bytes);
+        assert_eq!(t.pack(&back), p);
+    }
+
+    #[test]
+    fn only_live_arguments_are_hashed_and_compared() {
+        let (mut t, a, b) = arena();
+        let c = t.atom(Atom::Mem);
+        let d = t.atom(Atom::Frame);
+        let buf1 = [a, b, c, c, c, c, c, c];
+        let buf2 = [a, b, d, a, b, d, a, b];
+        let x = t.op(Tag::Alu(AluOp::Sub, Width::W64), &buf1[..2]);
+        let y = t.op(Tag::Alu(AluOp::Sub, Width::W64), &buf2[..2]);
+        assert_eq!(x, y);
+        // Same prefix, different arity: distinct terms.
+        let p3 = t.op(Tag::Quot(Width::W64), &buf1[..3]);
+        let p2 = t.op(Tag::Quot(Width::W64), &buf1[..2]);
+        assert_ne!(p2, p3);
+    }
+
+    #[test]
+    #[should_panic(expected = "applied to 9 arguments; the arena stores at most 8 inline")]
+    fn more_than_eight_arguments_fail_loudly() {
+        let (mut t, a, _) = arena();
+        t.op(Tag::Pack, &[a; 9]);
+    }
+
+    #[test]
     fn xor_and_sub_self_are_zero() {
         let (mut t, a, _) = arena();
-        let z = t.op(Tag::Alu(AluOp::Xor, Width::W32), vec![a, a]);
+        let z = t.op(Tag::Alu(AluOp::Xor, Width::W32), &[a, a]);
         assert_eq!(t.as_const(z), Some(0));
-        let z2 = t.op(Tag::Sse(SseOp::Xorpd), vec![a, a]);
+        let z2 = t.op(Tag::Sse(SseOp::Xorpd), &[a, a]);
         assert_eq!(t.as_const(z2), Some(0));
     }
 }

@@ -23,6 +23,9 @@
 #                               # corpus bit-identical with the pass on/off,
 #                               # verifier clean on allocated variants, E2
 #                               # body <= 40 insts, A2 ladder monotone
+#   scripts/check.sh bench      # benchmark gate: perfbench self-tests and
+#                               # one short traced cold_publish run with
+#                               # correct output (no wall-clock gate)
 #
 # The stress stage reruns the timing-sensitive suites under `--release`
 # so single-flight/eviction races get exercised with optimization on.
@@ -321,6 +324,27 @@ if [ "$stage" = "all" ] || [ "$stage" = "regalloc" ]; then
         prev="$c"
     done
     echo "register-allocation gate passed (E2 ${e2_insts} insts, A2 monotone over ${rows} rows)"
+fi
+
+if [ "$stage" = "all" ] || [ "$stage" = "bench" ]; then
+    echo "==> benchmark gate (perfbench self-tests + short traced cold_publish)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+    # The benchmark checks every published variant against its host
+    # reference; its last line must report correct output. Timings vary
+    # with the machine, so no wall-clock number is gated here.
+    if ! bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload cold_publish --seed 1 --seconds 5 --trace 1)"; then
+        echo "FAIL: traced cold_publish run exited with an error" >&2
+        printf '%s\n' "$bench_out" | tail -n 40 >&2
+        exit 1
+    fi
+    if ! printf '%s\n' "$bench_out" | tail -n 1 | grep -q '"correct": true'; then
+        echo "FAIL: traced cold_publish run did not report correct output" >&2
+        printf '%s\n' "$bench_out" | tail -n 40 >&2
+        exit 1
+    fi
+    echo "benchmark gate passed (self-tests, traced cold_publish correct)"
 fi
 
 echo "All checks passed ($stage)."
