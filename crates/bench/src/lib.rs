@@ -115,61 +115,21 @@ pub fn sweep_study(xs: i64, ys: i64, iters: u32, unrolls: &[u32]) -> Vec<Row> {
     out
 }
 
-/// A2: specialized `apply` with passes on/off.
-pub fn passes_study(xs: i64, ys: i64, iters: u32) -> Vec<Row> {
-    let mut m = Machine::new();
-    let host = Stencil::new(xs, ys).host_checksum(iters);
-    let mut out = Vec::new();
-    let configs: [(&str, PassConfig); 8] = [
+/// The A2 pass ladder: each row adds one pass to the row above, from the
+/// paper's pass-less prototype to the proof-gated aggressive coalescing.
+/// V2 walks the same rows for its static instruction counts.
+pub(crate) fn a2_ladder() -> [(&'static str, PassConfig); 7] {
+    let upto = |dead_store_elim, redundant_load_elim| PassConfig {
+        peephole: true,
+        dead_store_elim,
+        redundant_load_elim,
+        ..PassConfig::none()
+    };
+    [
         ("no passes (paper prototype)", PassConfig::none()),
-        (
-            "+ peephole",
-            PassConfig {
-                dead_store_elim: false,
-                redundant_load_elim: false,
-                peephole: true,
-                slot_promotion: false,
-                frame_compression: false,
-                regalloc: false,
-                regalloc_aggressive: false,
-            },
-        ),
-        (
-            "+ dead-store elim",
-            PassConfig {
-                dead_store_elim: true,
-                redundant_load_elim: false,
-                peephole: true,
-                slot_promotion: false,
-                frame_compression: false,
-                regalloc: false,
-                regalloc_aggressive: false,
-            },
-        ),
-        (
-            "+ redundant-load elim",
-            PassConfig {
-                dead_store_elim: true,
-                redundant_load_elim: true,
-                peephole: true,
-                slot_promotion: false,
-                frame_compression: false,
-                regalloc: false,
-                regalloc_aggressive: false,
-            },
-        ),
-        (
-            "+ slot promotion",
-            PassConfig {
-                dead_store_elim: true,
-                redundant_load_elim: true,
-                peephole: true,
-                slot_promotion: true,
-                frame_compression: false,
-                regalloc: false,
-                regalloc_aggressive: false,
-            },
-        ),
+        ("+ peephole", upto(false, false)),
+        ("+ dead-store elim", upto(true, false)),
+        ("+ redundant-load elim", upto(true, true)),
         (
             "+ frame compression",
             PassConfig {
@@ -185,8 +145,15 @@ pub fn passes_study(xs: i64, ys: i64, iters: u32) -> Vec<Row> {
                 ..PassConfig::default()
             },
         ),
-    ];
-    for (label, pc) in configs {
+    ]
+}
+
+/// A2: specialized `apply` along the pass ladder, one pass added per row.
+pub fn passes_study(xs: i64, ys: i64, iters: u32) -> Vec<Row> {
+    let mut m = Machine::new();
+    let host = Stencil::new(xs, ys).host_checksum(iters);
+    let mut out = Vec::new();
+    for (label, pc) in a2_ladder() {
         let mut s = Stencil::new(xs, ys);
         let res = s.specialize_apply_with_passes(&pc).unwrap();
         let st = s.run_with_apply(&mut m, res.entry, false, iters).unwrap();

@@ -47,6 +47,11 @@ const PROG: &str = r#"
         for (int i = 0; i < n; i++) d += xs[i] * ys[i];
         return d;
     }
+    int spill(int x, int y) {
+        int a = x * y + 3;
+        tick(0);
+        return a * x;
+    }
 "#;
 
 /// One verified variant.
@@ -143,6 +148,15 @@ fn corpus(img: &Image) -> Vec<(String, u64, SpecRequest)> {
                 .unknown_int()
                 .known_int(6)
                 .ret(RetKind::Int),
+        ),
+        (
+            "spill across call".into(),
+            f("spill"),
+            SpecRequest::new()
+                .unknown_int()
+                .unknown_int()
+                .ret(RetKind::Int)
+                .func(f("tick"), |o| o.inline = false),
         ),
     ]
 }

@@ -276,12 +276,13 @@ fn try_rewrite(b: &mut CapturedBlock, i: usize, j: usize, slot: i64, went_deeper
                 }
             }
         }
+        // Frame tags are entry-RSP offsets: without the push RSP sits 8
+        // higher between the pair and every displacement shrinks by 8, so
+        // each access still hits the same address and keeps its tag.
+        // Clearing them would hide half of a slot's accesses from regalloc,
+        // which would then allocate the slot unsoundly.
         for ci in b.insts[i + 1..j].iter_mut() {
             ci.inst = rebase_rsp(&ci.inst);
-            // Frame metadata refers to pre-compression offsets; it is
-            // consumed by earlier passes only; clear to avoid stale reuse.
-            ci.frame_store = None;
-            ci.frame_load = None;
         }
         b.insts.remove(j);
         b.insts.remove(i);

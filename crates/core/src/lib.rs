@@ -68,7 +68,11 @@ pub mod guard;
 pub mod manager;
 pub mod passes;
 pub mod persist;
-pub mod promote;
+/// Slot-promotion cases: frame slots the slot phase of [`regalloc`] must,
+/// or must not, move into scratch registers.
+#[cfg(test)]
+#[path = "slot_promotion_tests.rs"]
+mod promote;
 pub mod regalloc;
 pub mod request;
 pub mod snapshot;
@@ -191,55 +195,6 @@ impl<'a> Rewriter<'a> {
             .lookup(name)
             .ok_or_else(|| RewriteError::BadConfig(format!("unknown symbol `{name}`")))?;
         self.rewrite(func, req)
-    }
-
-    /// Deprecated split-API entry point: a [`RewriteConfig`] plus a
-    /// positional argument slice. Specs and values must line up
-    /// one-to-one; prefer [`Rewriter::rewrite`] with a [`SpecRequest`],
-    /// which makes drift unrepresentable.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a SpecRequest and call `rewrite(func, &req)`"
-    )]
-    pub fn rewrite_with_config(
-        &mut self,
-        cfg: &RewriteConfig,
-        func: u64,
-        args: &[ArgValue],
-    ) -> Result<RewriteResult, RewriteError> {
-        let req = SpecRequest::from_config(cfg, args, &PassConfig::default())?;
-        self.rewrite(func, &req)
-    }
-
-    /// Deprecated split-API variant of [`Rewriter::rewrite_named`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a SpecRequest and call `rewrite_named(name, &req)`"
-    )]
-    pub fn rewrite_named_with_config(
-        &mut self,
-        cfg: &RewriteConfig,
-        name: &str,
-        args: &[ArgValue],
-    ) -> Result<RewriteResult, RewriteError> {
-        let req = SpecRequest::from_config(cfg, args, &PassConfig::default())?;
-        self.rewrite_named(name, &req)
-    }
-
-    /// Deprecated split-API entry point with an explicit pass selection.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a SpecRequest with `.passes(pc)` and call `rewrite(func, &req)`"
-    )]
-    pub fn rewrite_with_passes(
-        &mut self,
-        cfg: &RewriteConfig,
-        func: u64,
-        args: &[ArgValue],
-        pc: &PassConfig,
-    ) -> Result<RewriteResult, RewriteError> {
-        let req = SpecRequest::from_config(cfg, args, pc)?;
-        self.rewrite(func, &req)
     }
 
     /// The rewrite pipeline proper, over validated parts. `rec` (optional)

@@ -85,8 +85,7 @@
 //!   poisoning for the same reason.
 //!
 //! Construction goes through [`ManagerBuilder`] (one fluent chain, typed
-//! config structs); the accreted `with_*`/`set_*` surface lives on as
-//! deprecated shims in [`crate::compat`].
+//! config structs).
 
 mod builder;
 mod inflight;
@@ -202,8 +201,8 @@ pub struct CacheStats {
     pub denied: u64,
     /// Variants dropped by invalidation (explicit or via revalidate).
     pub invalidated: u64,
-    /// Variants found stale by [`SpecializationManager::revalidate`]
-    /// (their folded known-memory bytes had changed).
+    /// Variants found stale by [`Invalidation::Revalidate`] (their folded
+    /// known-memory bytes had changed).
     pub stale: u64,
     /// Rewrite-pipeline panics converted into
     /// [`RewriteError::Internal`] instead of unwinding into the caller
@@ -285,7 +284,7 @@ pub enum Event {
         /// Failed attempts memoized for the key so far.
         attempts: u32,
     },
-    /// [`SpecializationManager::revalidate`] found a variant whose folded
+    /// [`Invalidation::Revalidate`] found a variant whose folded
     /// known-memory bytes no longer match its snapshot. Always followed
     /// by an `Invalidated` event for the same variant.
     Stale {
@@ -617,27 +616,9 @@ impl SpecializationManager {
         unpoison(self.last_panic.lock()).clone()
     }
 
-    /// Attach an event sink, replacing any previous one (the deprecated
-    /// `set_sink` shim and [`ManagerBuilder::event_sink`] land here).
-    pub(crate) fn install_sink(&self, sink: Box<dyn EventSink>) {
-        *unpoison(self.sink.write()) = Some(sink);
-    }
-
     /// Detach and return the current sink.
     pub fn take_sink(&self) -> Option<Box<dyn EventSink>> {
         unpoison(self.sink.write()).take()
-    }
-
-    /// Install a publish gate, replacing any previous one (the deprecated
-    /// `set_publish_gate` shim lands here).
-    pub(crate) fn install_gate(&self, gate: Box<dyn PublishGate>) {
-        *unpoison(self.gate.write()) = Some(gate);
-    }
-
-    /// Replace the negative-cache policy, dropping existing entries (the
-    /// deprecated `with_negative_policy` shim lands here).
-    pub(crate) fn replace_negative_policy(&mut self, policy: NegativePolicy) {
-        self.negative = NegativeCache::new(shards::DEFAULT_SHARDS, policy);
     }
 
     /// Detach and return the current publish gate.
@@ -1798,9 +1779,7 @@ impl SpecializationManager {
 
     /// The one invalidation entry point: drop exactly the cached variants
     /// `inv` names and return how many were dropped. See [`Invalidation`]
-    /// for the three selectors; the deprecated `invalidate`,
-    /// `invalidate_data` and `revalidate` methods in [`crate::compat`]
-    /// delegate here.
+    /// for the three selectors.
     pub fn apply_invalidation(&self, inv: Invalidation<'_>) -> usize {
         match inv {
             Invalidation::Func(func) => {

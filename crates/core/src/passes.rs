@@ -18,8 +18,6 @@ pub struct PassConfig {
     pub redundant_load_elim: bool,
     /// Remove no-op moves and lea identities.
     pub peephole: bool,
-    /// Promote whole frame slots into provably-free scratch registers.
-    pub slot_promotion: bool,
     /// Remove dead push/pop pairs from inlined frames (§VIII "improved
     /// inlining of small functions and deep call chains").
     pub frame_compression: bool,
@@ -42,7 +40,6 @@ impl Default for PassConfig {
             dead_store_elim: true,
             redundant_load_elim: true,
             peephole: true,
-            slot_promotion: true,
             frame_compression: true,
             regalloc: true,
             regalloc_aggressive: false,
@@ -57,11 +54,33 @@ impl PassConfig {
             dead_store_elim: false,
             redundant_load_elim: false,
             peephole: false,
-            slot_promotion: false,
             frame_compression: false,
             regalloc: false,
             regalloc_aggressive: false,
         }
+    }
+
+    /// The passes as a bit mask, one bit per field in declaration order:
+    /// the form request fingerprints and checkpoints (format 2) carry.
+    pub(crate) fn mask(&self) -> u8 {
+        (self.dead_store_elim as u8)
+            | (self.redundant_load_elim as u8) << 1
+            | (self.peephole as u8) << 2
+            | (self.frame_compression as u8) << 3
+            | (self.regalloc as u8) << 4
+            | (self.regalloc_aggressive as u8) << 5
+    }
+
+    /// Inverse of [`PassConfig::mask`]; `None` when a bit names no pass.
+    pub(crate) fn from_mask(mask: u8) -> Option<Self> {
+        (mask < 1 << 6).then_some(PassConfig {
+            dead_store_elim: mask & 1 != 0,
+            redundant_load_elim: mask & 1 << 1 != 0,
+            peephole: mask & 1 << 2 != 0,
+            frame_compression: mask & 1 << 3 != 0,
+            regalloc: mask & 1 << 4 != 0,
+            regalloc_aggressive: mask & 1 << 5 != 0,
+        })
     }
 }
 
@@ -107,14 +126,6 @@ pub fn run_passes_traced(
     if pc.dead_store_elim && !frame_escaped {
         removed += staged(&mut rec, "dead-store-elim", &mut || {
             dead_frame_stores(blocks)
-        });
-    }
-    if pc.slot_promotion {
-        // Converts memory moves to register moves (not removals, but the
-        // conversions enable the peephole below to drop self-moves).
-        staged(&mut rec, "slot-promotion", &mut || {
-            crate::promote::promote_slots(blocks, frame_escaped);
-            0
         });
     }
     if pc.peephole {
@@ -588,6 +599,15 @@ mod tests {
     use super::*;
     use crate::capture::Terminator;
 
+    #[test]
+    fn pass_mask_round_trips_and_rejects_unknown_bits() {
+        for mask in 0..1u8 << 6 {
+            assert_eq!(PassConfig::from_mask(mask).map(|p| p.mask()), Some(mask));
+        }
+        assert_eq!(PassConfig::default().mask(), 0b01_1111);
+        assert_eq!(PassConfig::from_mask(1 << 6), None);
+    }
+
     fn block(insts: Vec<CapturedInst>) -> CapturedBlock {
         let mut b = CapturedBlock::pending(0x1000);
         b.insts = insts;
@@ -633,7 +653,6 @@ mod tests {
                 redundant_load_elim: false,
                 peephole: false,
                 dead_store_elim: true,
-                slot_promotion: false,
                 frame_compression: false,
                 regalloc: false,
                 regalloc_aggressive: false,
@@ -667,7 +686,6 @@ mod tests {
             dead_store_elim: false,
             peephole: false,
             redundant_load_elim: true,
-            slot_promotion: false,
             frame_compression: false,
             regalloc: false,
             regalloc_aggressive: false,
@@ -694,7 +712,6 @@ mod tests {
             dead_store_elim: false,
             peephole: false,
             redundant_load_elim: true,
-            slot_promotion: false,
             frame_compression: false,
             regalloc: false,
             regalloc_aggressive: false,
@@ -725,7 +742,6 @@ mod tests {
             dead_store_elim: false,
             peephole: false,
             redundant_load_elim: true,
-            slot_promotion: false,
             frame_compression: false,
             regalloc: false,
             regalloc_aggressive: false,
@@ -750,7 +766,6 @@ mod tests {
             dead_store_elim: false,
             peephole: false,
             redundant_load_elim: true,
-            slot_promotion: false,
             frame_compression: false,
             regalloc: false,
             regalloc_aggressive: false,
@@ -779,7 +794,6 @@ mod tests {
             dead_store_elim: false,
             redundant_load_elim: false,
             peephole: true,
-            slot_promotion: false,
             frame_compression: false,
             regalloc: false,
             regalloc_aggressive: false,
@@ -817,7 +831,6 @@ mod tests {
             dead_store_elim: false,
             peephole: false,
             redundant_load_elim: true,
-            slot_promotion: false,
             frame_compression: false,
             regalloc: false,
             regalloc_aggressive: false,

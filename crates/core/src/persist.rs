@@ -27,7 +27,7 @@
 //!           default_opts
 //!           max_trace_insts:u64 max_blocks:u64 max_code_bytes:u64
 //!           (flag:u8 addr:u64){3}    (mem_access, entry, exit hooks)
-//!           passes:u8                (7-bit mask)
+//!           passes:u8                (6-bit `PassConfig::mask`)
 //! opts   := inline:u8 fresh:u8 branch:u8 max_variants:u32
 //! ```
 //!
@@ -72,7 +72,9 @@ pub const MAGIC: [u8; 8] = *b"BREWVARS";
 /// Current format version; bumped on any layout change. Loads of other
 /// versions fail with [`PersistError::BadVersion`] — there is no
 /// cross-version migration, a cold start is always correct.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 dropped the slot-promotion bit from the pass mask.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a persisted-variant file (or one entry of it) was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -331,14 +333,7 @@ fn encode_req(w: &mut Writer, req: &SpecRequest) {
         w.u8(hook.is_some() as u8);
         w.u64(hook.unwrap_or(0));
     }
-    let p = req.pass_config();
-    w.u8((p.dead_store_elim as u8)
-        | (p.redundant_load_elim as u8) << 1
-        | (p.peephole as u8) << 2
-        | (p.slot_promotion as u8) << 3
-        | (p.frame_compression as u8) << 4
-        | (p.regalloc as u8) << 5
-        | (p.regalloc_aggressive as u8) << 6);
+    w.u8(req.pass_config().mask());
 }
 
 fn decode_req(r: &mut Reader<'_>) -> Result<SpecRequest, PersistError> {
@@ -401,15 +396,9 @@ fn decode_req(r: &mut Reader<'_>) -> Result<SpecRequest, PersistError> {
     cfg.entry_hook = hooks[1];
     cfg.exit_hook = hooks[2];
     let mask = r.u8()?;
-    let passes = PassConfig {
-        dead_store_elim: mask & 1 != 0,
-        redundant_load_elim: mask & 2 != 0,
-        peephole: mask & 4 != 0,
-        slot_promotion: mask & 8 != 0,
-        frame_compression: mask & 16 != 0,
-        regalloc: mask & 32 != 0,
-        regalloc_aggressive: mask & 64 != 0,
-    };
+    let passes = PassConfig::from_mask(mask).ok_or_else(|| PersistError::BadEncoding {
+        what: format!("pass mask {mask:#04x} names an unknown pass"),
+    })?;
     SpecRequest::from_config(&cfg, &args, &passes).map_err(|e| PersistError::BadEncoding {
         what: e.to_string(),
     })

@@ -4,16 +4,17 @@
 //! Two phases, both driven by the `x86::defuse` sets validated
 //! differentially against the emulator in PR 5:
 //!
-//! 1. **Slot allocation** — the CFG-aware generalization of
-//!    [`crate::promote::promote_slots`]: per-block live-in/live-out for
-//!    every remaining frame slot, a slot *extent* (the set of blocks the
-//!    slot's value must survive across, including loop back-edge paths),
-//!    and a linear scan over the caller-saved scratch pools that assigns a
-//!    register whose own live range and uses are provably disjoint from
-//!    the extent. Spill fallback is the identity: a slot with no free
-//!    register simply stays in memory, so the pass can never make code
-//!    worse. Unlike `promote_slots` it tolerates kept calls — a slot whose
-//!    extent avoids every barrier block still allocates.
+//! 1. **Slot allocation** — the pipeline's only slot-to-register
+//!    mechanism: per-block live-in/live-out for every frame slot, a slot
+//!    *extent* (the set of blocks the slot's value must survive across,
+//!    including loop back-edge paths), and a linear scan over the
+//!    caller-saved scratch pools that assigns a register whose own live
+//!    range and uses are provably disjoint from the extent. Spill fallback
+//!    is the identity: a slot with no free register simply stays in
+//!    memory, so the pass can never make code worse. Kept calls are
+//!    tolerated — a slot whose extent avoids every call block still
+//!    allocates — and the body `ret` is the return boundary, where only
+//!    the `abi_ret` contract is live, not a barrier.
 //!
 //! 2. **Cleanup** — the rename work that makes phase 1 pay off. Promotion
 //!    leaves chains of register-to-register moves, paired `rsp`
@@ -81,9 +82,9 @@ pub fn allocate(
             for i in 0..blocks.len() {
                 let b = &mut blocks[i];
                 round += cancel_rsp_pairs(b, flags_out[i]);
-                round += dead_loads(b, live_out[i], so);
-                round += fold_addresses(b, live_out[i], flags_out[i], so);
-                round += coalesce_backward(b, live_out[i], so);
+                round += dead_loads(b, live_out[i], so, ret_live);
+                round += fold_addresses(b, live_out[i], flags_out[i], so, ret_live);
+                round += coalesce_backward(b, live_out[i], so, ret_live);
                 round += propagate_copies(b, live_out[i], so);
             }
             removed += round;
@@ -111,7 +112,7 @@ pub fn allocate(
 
 /// Bitset of live registers (bit = hardware register number).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct LiveSet {
+pub(crate) struct LiveSet {
     gpr: u16,
     xmm: u16,
 }
@@ -124,7 +125,7 @@ impl LiveSet {
     /// harnesses only compare `rax`/`xmm0` (plus `rdx:rax` and `xmm1` for
     /// wide returns), but the callee-saved registers are part of the
     /// contract with any real caller.
-    const ABI_RET: LiveSet = LiveSet {
+    pub(crate) const ABI_RET: LiveSet = LiveSet {
         gpr: (1 << 0) | (1 << 2) | (1 << 3) | (1 << 4) | (1 << 5) | 0xf000,
         xmm: 0b11,
     };
@@ -280,8 +281,15 @@ fn writes_loc(inst: &Inst, l: Loc) -> bool {
     hit
 }
 
-/// Backward transfer of one instruction over a live set.
-fn step_back(live: &mut LiveSet, inst: &Inst, so: bool) {
+/// Backward transfer of one instruction over a live set. The body `ret`
+/// the tracer emits is the return boundary, not a barrier: what is live
+/// just before it is the `ret_live` contract (which always holds `rsp`
+/// and `rbp`), so slots and copies that end at a return still allocate.
+fn step_back(live: &mut LiveSet, inst: &Inst, so: bool, ret_live: LiveSet) {
+    if matches!(inst, Inst::Ret) {
+        *live = ret_live;
+        return;
+    }
     if defuse::is_barrier(inst) {
         *live = LiveSet::ALL;
         return;
@@ -293,10 +301,16 @@ fn step_back(live: &mut LiveSet, inst: &Inst, so: bool) {
 }
 
 /// Liveness just after `b.insts[pos]` (i.e. before `pos + 1`).
-fn live_after(b: &CapturedBlock, pos: usize, live_out: LiveSet, so: bool) -> LiveSet {
+fn live_after(
+    b: &CapturedBlock,
+    pos: usize,
+    live_out: LiveSet,
+    so: bool,
+    ret_live: LiveSet,
+) -> LiveSet {
     let mut live = live_out;
     for ci in b.insts[pos + 1..].iter().rev() {
-        step_back(&mut live, &ci.inst, so);
+        step_back(&mut live, &ci.inst, so, ret_live);
     }
     live
 }
@@ -325,7 +339,7 @@ fn register_liveness(blocks: &[CapturedBlock], so: bool, ret_live: LiveSet) -> V
             out.set(Loc::Gpr(Gpr::Rbp));
             let mut inn = out;
             for ci in blocks[i].insts.iter().rev() {
-                step_back(&mut inn, &ci.inst, so);
+                step_back(&mut inn, &ci.inst, so, ret_live);
             }
             changed |= out != live_out[i] || inn != live_in[i];
             live_out[i] = out;
@@ -413,8 +427,8 @@ enum Class {
     Xmm,
 }
 
-/// Is this frame access an allocatable plain 8-byte move (same contract as
-/// `promote::classify`)? `None` disqualifies the slot.
+/// Is this frame access an allocatable plain 8-byte move? `None`
+/// disqualifies the slot (pushes, pops, RMW ALU on memory).
 fn classify(inst: &Inst) -> Option<Class> {
     match inst {
         Inst::Mov {
@@ -441,7 +455,11 @@ fn classify(inst: &Inst) -> Option<Class> {
 
 /// Promote remaining frame slots into scratch registers whose live ranges
 /// provably avoid the slot's extent. Returns conversions (not removals).
-fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool, ret_live: LiveSet) -> u64 {
+pub(crate) fn allocate_slots(
+    blocks: &mut [CapturedBlock],
+    frame_escaped: bool,
+    ret_live: LiveSet,
+) -> u64 {
     if frame_escaped || blocks.is_empty() {
         return 0;
     }
@@ -523,14 +541,15 @@ fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool, ret_live: L
 
     // Register availability per block: the registers referenced by any
     // instruction, plus block-boundary liveness, plus an "any barrier"
-    // flag (a barrier makes every register live mid-block).
+    // flag (a barrier makes every register live mid-block; `ret` is the
+    // return boundary instead, see `step_back`).
     let so = scalar_only(blocks);
     let live_out = register_liveness(blocks, so, ret_live);
     let live_in_of = |i: usize, lo: &[LiveSet]| {
         // recompute live-in cheaply from live-out
         let mut l = lo[i];
         for ci in blocks[i].insts.iter().rev() {
-            step_back(&mut l, &ci.inst, so);
+            step_back(&mut l, &ci.inst, so, ret_live);
         }
         l
     };
@@ -541,7 +560,7 @@ fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool, ret_live: L
         for ci in &b.insts {
             defuse::for_each_read(&ci.inst, &mut |l| u.set(l));
             defuse::for_each_write(&ci.inst, &mut |l| u.set(l));
-            has_barrier[bi] |= defuse::is_barrier(&ci.inst);
+            has_barrier[bi] |= defuse::is_barrier(&ci.inst) && !matches!(ci.inst, Inst::Ret);
         }
         busy[bi] = u;
     }
@@ -594,7 +613,7 @@ fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool, ret_live: L
         return 0;
     }
 
-    // Rewrite the accesses (same shapes promote_slots rewrites).
+    // Rewrite the accesses: each classified move becomes a register move.
     let mut converted = 0;
     for b in blocks.iter_mut() {
         for ci in b.insts.iter_mut() {
@@ -865,15 +884,11 @@ fn trackable(m: &MemRef) -> bool {
     (m.base == Some(Gpr::Rsp) && m.index.is_none()) || (m.base.is_none() && m.index.is_none())
 }
 
-fn dead_loads(b: &mut CapturedBlock, live_out: LiveSet, so: bool) -> u64 {
+fn dead_loads(b: &mut CapturedBlock, live_out: LiveSet, so: bool, ret_live: LiveSet) -> u64 {
     let mut live = live_out;
     let mut keep = vec![true; b.insts.len()];
     for (idx, ci) in b.insts.iter().enumerate().rev() {
         let inst = &ci.inst;
-        if defuse::is_barrier(inst) {
-            live = LiveSet::ALL;
-            continue;
-        }
         let removable = match inst {
             Inst::Mov {
                 w: Width::W32 | Width::W64,
@@ -909,7 +924,7 @@ fn dead_loads(b: &mut CapturedBlock, live_out: LiveSet, so: bool) -> u64 {
                 continue;
             }
         }
-        step_back(&mut live, inst, so);
+        step_back(&mut live, inst, so, ret_live);
     }
     let before = b.insts.len();
     let mut it = keep.iter();
@@ -1011,7 +1026,13 @@ fn replace_mem(inst: &Inst, m: MemRef) -> Option<Inst> {
 
 /// `mov a, b [; add/sub a, k] ; use [a+d]` → `use [b+d±k]` when `a` dies
 /// at the use and the (removed) ALU's flags are dead.
-fn fold_addresses(b: &mut CapturedBlock, live_out: LiveSet, flags_out: bool, so: bool) -> u64 {
+fn fold_addresses(
+    b: &mut CapturedBlock,
+    live_out: LiveSet,
+    flags_out: bool,
+    so: bool,
+    ret_live: LiveSet,
+) -> u64 {
     let mut removed = 0;
     let mut i = 0;
     while i < b.insts.len() {
@@ -1043,7 +1064,7 @@ fn fold_addresses(b: &mut CapturedBlock, live_out: LiveSet, flags_out: bool, so:
             let m = sole_base_use(&cj.inst, a)?;
             let disp = i64::from(m.disp).checked_add(delta)?;
             let disp = i32::try_from(disp).ok()?;
-            if live_after(b, j, live_out, so).has(Loc::Gpr(a)) {
+            if live_after(b, j, live_out, so, ret_live).has(Loc::Gpr(a)) {
                 return None;
             }
             if needs_flags && !flags_dead_at(b, j, flags_out) {
@@ -1277,7 +1298,7 @@ fn as_copy(inst: &Inst, so: bool) -> Option<(Loc, Loc)> {
 /// deliberately steps over read-modify-write instructions of `s` (e.g.
 /// `addsd s, x`) to reach the real definition — that is what collapses
 /// the accumulator pattern `mov s, d; op s, x; mov d, s` into `op d, x`.
-fn coalesce_backward(b: &mut CapturedBlock, live_out: LiveSet, so: bool) -> u64 {
+fn coalesce_backward(b: &mut CapturedBlock, live_out: LiveSet, so: bool, ret_live: LiveSet) -> u64 {
     let mut removed = 0;
     let mut j = b.insts.len();
     while j > 0 {
@@ -1285,7 +1306,7 @@ fn coalesce_backward(b: &mut CapturedBlock, live_out: LiveSet, so: bool) -> u64 
         let Some((d, s)) = as_copy(&b.insts[j].inst, so) else {
             continue;
         };
-        if live_after(b, j, live_out, so).has(s) {
+        if live_after(b, j, live_out, so, ret_live).has(s) {
             continue;
         }
         // Walk back to s's full definition, collecting the rename window.
@@ -1700,10 +1721,8 @@ mod tests {
 
     #[test]
     fn slot_allocated_across_blocks() {
-        // A slot written in block 0 and read in block 1 — promote_slots
-        // (single-pool, whole-function free registers) already handles
-        // this, but here rcx is busy in block 2, which is outside the
-        // slot's extent: the CFG-aware allocator must still promote.
+        // A slot written in block 0 and read in block 1: the extent spans
+        // both blocks, so a register busy in either is skipped.
         let store = CapturedInst {
             inst: Inst::Mov {
                 w: Width::W64,

@@ -59,8 +59,8 @@ impl SpecRequest {
         }
     }
 
-    /// Adopt an existing `(config, args)` pair from the deprecated split
-    /// API. Fails with [`RewriteError::BadConfig`] when specs and values
+    /// Adopt an existing `(config, args)` pair, as the paper-spelling
+    /// `brew_rewrite` and the checkpoint decoder hold them. Fails with [`RewriteError::BadConfig`] when specs and values
     /// don't line up one-to-one — the drift the builder makes
     /// unrepresentable.
     pub fn from_config(
@@ -308,15 +308,7 @@ impl SpecRequest {
         ] {
             h.word(hook.map_or(u64::MAX, |a| a));
         }
-        h.word(
-            (self.passes.dead_store_elim as u64)
-                | (self.passes.redundant_load_elim as u64) << 1
-                | (self.passes.peephole as u64) << 2
-                | (self.passes.slot_promotion as u64) << 3
-                | (self.passes.frame_compression as u64) << 4
-                | (self.passes.regalloc as u64) << 5
-                | (self.passes.regalloc_aggressive as u64) << 6,
-        );
+        h.word(self.passes.mask().into());
         h.finish()
     }
 }

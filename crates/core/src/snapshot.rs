@@ -10,10 +10,11 @@
 //! re-checkable fingerprint ([`KnownSnapshot`]) that travels with every
 //! [`crate::manager::Variant`]:
 //!
-//! - `invalidate_data(range)` drops variants whose snapshot *overlaps* a
-//!   mutated range, without touching the image;
-//! - `revalidate(img)` re-hashes each snapshot against the current image
-//!   and drops only the variants whose folded bytes actually changed.
+//! - `Invalidation::Data(range)` drops variants whose snapshot *overlaps*
+//!   a mutated range, without touching the image;
+//! - `Invalidation::Revalidate(img)` re-hashes each snapshot against the
+//!   current image and drops only the variants whose folded bytes
+//!   actually changed.
 
 use brew_image::Image;
 use std::ops::Range;

@@ -205,11 +205,15 @@ fn manager_rcu_churn_with_concurrent_dumps() {
     let (img, poly) = setup();
     let mgr = SpecializationManager::new();
     let stop = AtomicBool::new(false);
+    // The churn starts only once the dumper is running, so at least one
+    // dump overlaps it however the threads get scheduled.
+    let dumping = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         let dumper = s.spawn(|| {
             let flight = mgr.flight();
             let mut dumps = 0u64;
+            dumping.store(true, Ordering::Release);
             while !stop.load(Ordering::Acquire) {
                 let d = flight.dump();
                 let cap = flight.capacity() as u64;
@@ -225,6 +229,9 @@ fn manager_rcu_churn_with_concurrent_dumps() {
             }
             dumps
         });
+        while !dumping.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         let rewriters: Vec<_> = (0..3i64)
             .map(|t| {
                 let (mgr, img) = (&mgr, &img);

@@ -460,29 +460,3 @@ fn guard_dispatches() {
     let cold = m.call(&img, guard, &CallArgs::new().int(5)).unwrap();
     assert_eq!(cold.ret_int, 10);
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_split_api_still_works() {
-    // The pre-SpecRequest entry points remain as thin wrappers.
-    use brew_core::{ArgValue, ParamSpec, RewriteConfig};
-    let (img, prog) = setup("int madd(int a, int b, int c) { return a * b + c; }");
-    let f = prog.func("madd").unwrap();
-    let mut cfg = RewriteConfig::new();
-    cfg.set_param(0, ParamSpec::Unknown)
-        .set_param(1, ParamSpec::Known)
-        .set_param(2, ParamSpec::Unknown)
-        .set_ret(RetKind::Int);
-    let res = Rewriter::new(&img)
-        .rewrite_with_config(
-            &cfg,
-            f,
-            &[ArgValue::Int(0), ArgValue::Int(7), ArgValue::Int(0)],
-        )
-        .unwrap();
-    let mut m = Machine::new();
-    let out = m
-        .call(&img, res.entry, &CallArgs::new().int(3).int(7).int(5))
-        .unwrap();
-    assert_eq!(out.ret_int, 26);
-}

@@ -182,8 +182,14 @@ impl PgasArray {
     /// (bounded unrolling via world migration).
     pub fn specialize_gsum(&mut self) -> Result<RewriteResult, brew_core::RewriteError> {
         let gsum = self.prog.func("gsum").unwrap();
+        Rewriter::new(&self.img).rewrite(gsum, &self.gsum_request())
+    }
+
+    /// The request behind [`PgasArray::specialize_gsum`].
+    pub fn gsum_request(&self) -> SpecRequest {
+        let gsum = self.prog.func("gsum").unwrap();
         let dist = self.dist();
-        let req = SpecRequest::new()
+        SpecRequest::new()
             .unknown_int() // storage pointer
             .ptr_to_known(dist, 24)
             .unknown_int() // n (traced bound comes from the emulated call)
@@ -192,8 +198,7 @@ impl PgasArray {
                 o.branch_unknown = true;
                 o.max_variants = 2;
             })
-            .max_trace_insts(8_000_000);
-        Rewriter::new(&self.img).rewrite(gsum, &req)
+            .max_trace_insts(8_000_000)
     }
 
     /// §VIII: rewrite `gsum` with a memory-access hook calling

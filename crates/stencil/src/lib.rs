@@ -170,8 +170,14 @@ impl Stencil {
         unroll: u32,
     ) -> Result<RewriteResult, brew_core::RewriteError> {
         let sweep = self.prog.func("sweep_generic").expect("sweep_generic");
+        Rewriter::new(&self.img).rewrite(sweep, &self.sweep_request(unroll))
+    }
+
+    /// The request behind [`Stencil::specialize_sweep`].
+    pub fn sweep_request(&self, unroll: u32) -> SpecRequest {
+        let sweep = self.prog.func("sweep_generic").expect("sweep_generic");
         let s5 = self.s5();
-        let req = SpecRequest::new()
+        SpecRequest::new()
             .unknown_int() // src matrix
             .unknown_int() // dst matrix
             .known_int(self.xs)
@@ -183,8 +189,7 @@ impl Stencil {
                 o.max_variants = unroll.max(1);
             })
             .max_code_bytes(1 << 22)
-            .max_trace_insts(16_000_000);
-        Rewriter::new(&self.img).rewrite(sweep, &req)
+            .max_trace_insts(16_000_000)
     }
 
     // ---- execution --------------------------------------------------------

@@ -34,10 +34,9 @@ fn pass_grid() -> impl Strategy<Value = PassConfig> {
         dead_store_elim: p[0],
         redundant_load_elim: p[1],
         peephole: p[2],
-        slot_promotion: p[3],
-        frame_compression: p[4],
-        regalloc: p[5],
-        regalloc_aggressive: p[6],
+        frame_compression: p[3],
+        regalloc: p[4],
+        regalloc_aggressive: p[5],
     })
 }
 

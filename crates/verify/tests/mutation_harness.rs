@@ -34,6 +34,11 @@ const PROG: &str = r#"
         for (int i = 0; i < n; i++) d += xs[i] * ys[i];
         return d;
     }
+    int spill(int x, int y) {
+        int a = x * y + 3;
+        tick(0);
+        return a * x;
+    }
 "#;
 
 struct Case {
@@ -107,6 +112,17 @@ fn corpus(img: &Image) -> Vec<Case> {
             .unknown_int()
             .known_int(6)
             .ret(RetKind::Int),
+    );
+    // A value live across a kept call: the allocator leaves its slot in
+    // memory, so a spill store and its reload survive every pass.
+    add(
+        "spill across call",
+        "spill",
+        SpecRequest::new()
+            .unknown_int()
+            .unknown_int()
+            .ret(RetKind::Int)
+            .func(prog.func("tick").unwrap(), |o| o.inline = false),
     );
     cases
 }

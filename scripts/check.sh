@@ -18,7 +18,7 @@
 #                               # gates, brew-inspect smoke
 #   scripts/check.sh equiv      # equivalence gate: symbolic translation
 #                               # validation clean on the corpus, 100%
-#                               # miscompile rejection, aggressive E2 <= 28
+#                               # miscompile rejection, aggressive E2 <= 24
 #   scripts/check.sh regalloc   # register-allocation gate: differential
 #                               # corpus bit-identical with the pass on/off,
 #                               # verifier clean on allocated variants, E2
@@ -267,8 +267,8 @@ if [ "$stage" = "all" ] || [ "$stage" = "equiv" ]; then
         exit 1
     fi
     agg="$(printf '%s\n' "$v2_out" | sed -n 's/^aggressive E2             : \([0-9][0-9]*\) instructions.*/\1/p')"
-    if [ -z "$agg" ] || [ "$agg" -gt 28 ]; then
-        echo "FAIL: aggressive E2 is ${agg:-?} instructions (gate <= 28)" >&2
+    if [ -z "$agg" ] || [ "$agg" -gt 24 ]; then
+        echo "FAIL: aggressive E2 is ${agg:-?} instructions (gate <= 24)" >&2
         printf '%s\n' "$v2_out" >&2
         exit 1
     fi
@@ -285,7 +285,9 @@ if [ "$stage" = "all" ] || [ "$stage" = "regalloc" ]; then
     # The soundness contract: every generator-corpus program runs
     # bit-identically with PassConfig::regalloc on and off, and the static
     # verifier accepts every allocated variant with zero findings
-    # (including the stencil and grouped §V workload variants).
+    # (including the stencil and grouped §V workload variants), and the
+    # whole-sweep and PGAS gsum rewrites match their host references and
+    # prove equivalent (frame tags must survive frame compression).
     cargo test --release --offline -q -p brew-suite --test regalloc_differential
     cargo test --release --offline -q -p brew-suite --test differential
 

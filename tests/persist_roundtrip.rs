@@ -48,7 +48,7 @@ struct ReqGen {
     max_blocks: u16,
     max_code_bytes: u32,
     hooks: (bool, bool, bool),
-    passes: [bool; 7],
+    passes: [bool; 6],
 }
 
 fn arb_req() -> impl Strategy<Value = ReqGen> {
@@ -82,7 +82,7 @@ fn arb_req() -> impl Strategy<Value = ReqGen> {
                 max_blocks: caps.1,
                 max_code_bytes: caps.2,
                 hooks,
-                passes: [p8[0], p8[1], p8[2], p8[3], p8[4], p8[5], p8[6]],
+                passes: [p8[0], p8[1], p8[2], p8[3], p8[4], p8[5]],
             },
         )
 }
@@ -135,10 +135,9 @@ fn build_req(g: &ReqGen, block: u64) -> SpecRequest {
         dead_store_elim: g.passes[0],
         redundant_load_elim: g.passes[1],
         peephole: g.passes[2],
-        slot_promotion: g.passes[3],
-        frame_compression: g.passes[4],
-        regalloc: g.passes[5],
-        regalloc_aggressive: g.passes[6],
+        frame_compression: g.passes[3],
+        regalloc: g.passes[4],
+        regalloc_aggressive: g.passes[5],
     })
 }
 

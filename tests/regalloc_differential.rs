@@ -375,3 +375,37 @@ fn allocated_stencil_and_grouped_variants_verify_and_agree() {
         }
     }
 }
+
+/// Frame compression keeps the entry-RSP frame tags of the accesses it
+/// rebases, so the slot allocator sees every access to a slot. With the
+/// tags cleared it saw only half of some slots and allocated them: the
+/// whole-sweep rewrite and the PGAS `gsum` then computed wrong results,
+/// which the prover rejects. Under the default passes each must match
+/// its host reference and pass every verifier rule, the prover included.
+#[test]
+fn frame_tags_survive_compression_on_sweep_and_gsum() {
+    let mut m = Machine::new();
+    for unroll in [1, 2] {
+        let mut st = Stencil::new(32, 32);
+        let host = st.host_checksum(2);
+        let sweep = st.prog.func("sweep_generic").unwrap();
+        let req = st.sweep_request(unroll);
+        let res = st.specialize_sweep(unroll).unwrap();
+        st.run(&mut m, Variant::SpecializedSweep(res.entry), 2)
+            .unwrap();
+        assert_eq!(
+            st.checksum(2).to_bits(),
+            host.to_bits(),
+            "sweep unroll {unroll}"
+        );
+        assert_verifier_clean(&st.img, sweep, &req, &res);
+    }
+
+    let mut p = PgasArray::new(240, 4, 1);
+    let gsum = p.prog.func("gsum").unwrap();
+    let req = p.gsum_request();
+    let res = p.specialize_gsum().unwrap();
+    let (sum, _) = p.gsum_with(&mut m, res.entry).unwrap();
+    assert_eq!(sum.to_bits(), p.host_sum().to_bits(), "gsum");
+    assert_verifier_clean(&p.img, gsum, &req, &res);
+}
